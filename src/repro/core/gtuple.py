@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.ordergraph import Bounds, OrderGraph
 from repro.core.terms import Term, Var
 from repro.core.theory import ConstraintTheory, DenseOrderTheory
 from repro.errors import SchemaError, TheoryError
@@ -66,7 +67,9 @@ class GTuple:
     conjunction is unsatisfiable, which callers treat as "no tuple").
     """
 
-    __slots__ = ("theory", "schema", "atoms", "_hash", "_entailer", "__weakref__")
+    __slots__ = (
+        "theory", "schema", "atoms", "_hash", "_entailer", "_bounds", "__weakref__"
+    )
 
     def __init__(self, theory: ConstraintTheory, schema: Schema, atoms: FrozenSet) -> None:
         self.theory = theory
@@ -74,6 +77,7 @@ class GTuple:
         self.atoms = atoms
         self._hash = hash((theory.name, schema, atoms))
         self._entailer = None
+        self._bounds = None
 
     # ------------------------------------------------------------ construction
 
@@ -318,3 +322,15 @@ class GTuple:
         if self._entailer is None:
             self._entailer = self.theory.make_entailer(self.atoms)
         return self._entailer(a)
+
+    def bounds(self) -> Dict[Var, Bounds]:
+        """Per-variable constant bounds of a dense-order tuple.
+
+        See :meth:`OrderGraph.bounds`; a schema column absent from the
+        map is unconstrained.  Computed once per tuple (interned tuples
+        share it) from the object graph under either kernel backend, so
+        it adds no kernel-cache traffic.
+        """
+        if self._bounds is None:
+            self._bounds = OrderGraph(self.atoms).bounds()
+        return self._bounds

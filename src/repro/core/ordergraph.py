@@ -20,6 +20,8 @@ The graph supports:
 * :meth:`OrderGraph.relation_between` -- strongest derived relation;
 * :meth:`OrderGraph.canonical_atoms` -- a deterministic minimal
   generating set (used to deduplicate generalized tuples);
+* :meth:`OrderGraph.bounds` -- the tightest entailed constant bounds of
+  each variable (used to decide absorption without entailment calls);
 * :meth:`OrderGraph.solve` -- an explicit rational witness (used by the
   sample-point evaluator and by tests).
 
@@ -41,6 +43,8 @@ __all__ = ["OrderGraph"]
 
 #: closure entry: True = strict path exists, False = weak path only
 _Reach = Dict[Term, Dict[Term, bool]]
+#: per-variable constant bounds: ``(lo, lo_strict, hi, hi_strict)``
+Bounds = Tuple[Optional[Fraction], bool, Optional[Fraction], bool]
 
 
 class OrderGraph:
@@ -327,6 +331,42 @@ class OrderGraph:
                     out.add(made)
         return frozenset(out)
 
+    # ---------------------------------------------------------------- bounds
+
+    def bounds(self) -> Dict[Var, Bounds]:
+        """The tightest constant bounds the conjunction entails, per variable.
+
+        Maps every variable of the graph to ``(lo, lo_strict, hi,
+        hi_strict)``: the conjunction entails ``lo < v`` (``lo <= v``
+        when ``lo_strict`` is False) and ``v < hi`` (``v <= hi``), and
+        no tighter constant bound.  A missing side is ``None`` with a
+        False strictness bit.  Both sides are read off the transitive
+        closure, which already carries the numeric order of the
+        constants, so the first constant above ``v`` and the last one
+        below it are the tightest.  Over a dense order without
+        endpoints the interval is exactly the projection of a
+        satisfiable conjunction onto ``v``; for an unsatisfiable one
+        it is meaningless.
+        """
+        reach = self._compute_closure()
+        consts = self._constant_nodes()  # ascending by value
+        out: Dict[Var, Bounds] = {}
+        for node in self._nodes:
+            if not isinstance(node, Var):
+                continue
+            row = reach[node]
+            lo: Optional[Fraction] = None
+            hi: Optional[Fraction] = None
+            lo_strict = hi_strict = False
+            for c in consts:
+                if hi is None and c in row:  # node <= / < c
+                    hi, hi_strict = c.value, row[c]
+                below = reach[c].get(node)
+                if below is not None:  # c <= / < node
+                    lo, lo_strict = c.value, below
+            out[node] = (lo, lo_strict, hi, hi_strict)
+        return out
+
     # ----------------------------------------------------------------- solve
 
     def solve(self) -> Optional[Dict[Var, Fraction]]:
@@ -349,21 +389,7 @@ class OrderGraph:
                 values[r] = r.value
             else:
                 pending.append(r)
-        # constant bounds per representative, from the closure
-        consts = self._constant_nodes()
-
-        def const_bounds(node: Term) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-            lo: Optional[Fraction] = None
-            hi: Optional[Fraction] = None
-            row = reach.get(node, {})
-            for c in consts:
-                if rep[c] == node:
-                    continue
-                if c in row:  # node <= / < c
-                    hi = c.value if hi is None else min(hi, c.value)
-                if node in reach.get(c, {}):  # c <= / < node
-                    lo = c.value if lo is None else max(lo, c.value)
-            return lo, hi
+        bounds = self.bounds()
 
         # order the variable representatives by the induced partial order
         def preds(node: Term) -> List[Term]:
@@ -390,7 +416,7 @@ class OrderGraph:
                 raise TheoryError("cyclic order among distinct classes")
 
         for node in ordered:
-            lo, hi = const_bounds(node)
+            lo, _, hi, _ = bounds[node]
             for p in preds(node):
                 pv = values[p]
                 lo = pv if lo is None else max(lo, pv)

@@ -20,6 +20,8 @@ pruning.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import ge, le
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.atoms import Op
@@ -573,13 +575,11 @@ def _absorb(tuples: List[GTuple]) -> List[GTuple]:
     ``t`` is subsumed by ``s`` when ``t`` entails every atom of ``s``
     (then the pointset of ``t`` is included in that of ``s``).
 
-    The pairwise pass is still quadratic in the worst case, but most
-    candidate pairs are dismissed without touching the entailment
-    kernel: duplicates are hash-deduplicated up front, a universe tuple
-    short-circuits the whole pass, and (for the dense-order theory) a
-    pair is skipped when the candidate subsumer mentions a variable the
-    other tuple leaves unconstrained, or accepted when its atoms are a
-    syntactic subset.
+    Duplicates are hash-deduplicated up front and a universe tuple
+    short-circuits the whole pass.  The pairwise pass that remains is
+    quadratic in the worst case, but for the dense-order theory most
+    pairs are never listed and most listed pairs are decided without
+    the entailment kernel; :func:`_absorb_survivors` says how.
     """
     tracer = active_tracer()
     t0 = 0.0
@@ -628,33 +628,24 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
     depends only on the full list, not on other survival decisions, so
     disjoint ranges can be decided independently (the parallel backend
     fans them out) and concatenated in order to reproduce the full
-    serial pass.
-    """
-    theory = distinct[0].theory
-    dense = isinstance(theory, DenseOrderTheory)
-    var_sets: List[FrozenSet[Var]] = (
-        [theory.conjunction_variables(t.atoms) for t in distinct] if dense else []
-    )
+    serial pass.  Survival is an existence test over the candidate
+    subsumers, so the order they are scanned in does not matter.
 
-    def subsumes(si: int, ti: int) -> bool:
-        s, t = distinct[si], distinct[ti]
-        if dense:
-            # an atom mentioning a variable absent from t's conjunction
-            # is never entailed by it (that variable is unconstrained)
-            if not var_sets[si] <= var_sets[ti]:
-                return False
-            # entailment is reflexive, so a syntactic subset subsumes
-            if s.atoms <= t.atoms:
-                return True
-            if _KERNEL.columnar:
-                # one closure per target tuple, shared across every
-                # candidate atom of every candidate subsumer (same
-                # laziness and cache traffic as t.entails; falls
-                # through when t's entailer is not matrix-backed)
-                mat = tuple_matrix(t)
-                if mat is not None:
-                    return mat.implies_all(s.atoms)
-        return all(t.entails(a) for a in s.atoms)
+    For the dense-order theory the candidates and the test come from
+    :func:`_dense_subsumption`; other theories scan every pair and ask
+    the entailment kernel about every atom.
+    """
+    if isinstance(distinct[0].theory, DenseOrderTheory):
+        candidates, subsumes = _dense_subsumption(distinct)
+    else:
+        everyone = range(len(distinct))
+
+        def candidates(i: int) -> Iterable[int]:
+            return everyone
+
+        def subsumes(si: int, ti: int) -> bool:
+            t = distinct[ti]
+            return all(t.entails(a) for a in distinct[si].atoms)
 
     def stable_key(i: int) -> List[str]:
         return sorted(str(a) for a in distinct[i].atoms)
@@ -662,7 +653,7 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
     kept: List[int] = []
     for i in range(start, stop):
         absorbed = False
-        for j in range(len(distinct)):
+        for j in candidates(i):
             if i == j or not subsumes(j, i):
                 continue
             if subsumes(i, j):
@@ -682,6 +673,117 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
         if not absorbed:
             kept.append(i)
     return kept
+
+
+def _dense_subsumption(distinct: List[GTuple]):
+    """Candidate subsumers and a subsumption test for dense-order tuples.
+
+    The tuples must share one schema, as a relation's tuples do.  Both
+    parts rest on :meth:`GTuple.bounds`: over a dense order without
+    endpoints, the tightest constant bounds a satisfiable tuple entails
+    for a column are exactly its projection onto that column, so every
+    tuple lies in the box its bounds span.
+
+    *Test.*  ``s`` subsumes ``t`` iff ``t`` entails every atom of ``s``.
+    That needs ``t``'s box inside ``s``'s box, column by column (a
+    projection of a subset is a subset of the projection), so a box
+    that sticks out refutes the pair.  A box inside ``s``'s box entails
+    every variable-vs-constant atom of ``s``, since ``s`` entails them.
+    When ``s`` has only such atoms it *is* its box, and the pair is
+    decided without the kernel.  The variable-vs-variable atoms left
+    over are accepted when they are a syntactic subset of ``t``'s atoms
+    (entailment is reflexive), refuted when they mention a variable
+    ``t`` leaves unconstrained, and otherwise sent to the entailment
+    kernel.  The boxes are compared as small integers: each bound is
+    ranked among the constants of the whole list, with the strictness
+    bit as the low bit, so a strict bound sorts just inside the weak
+    one at the same constant.
+
+    *Candidates.*  Tuples are indexed on the first schema column.
+    Tuples whose bounds pin it (``lo == hi``) go into a bucket per
+    value; the rest are unpinned.  A pinned ``t`` can only be subsumed
+    by a tuple of its own bucket or an unpinned one, and an unpinned
+    ``t`` (more than one point on that column) only by an unpinned
+    one, since a point cannot contain it.  The index is built from the
+    whole list, so every index range sees the same candidates.
+    """
+    columns = [Var(c) for c in distinct[0].schema]
+    boxes = [[t.bounds().get(v) for v in columns] for t in distinct]
+    values = sorted({
+        x for box in boxes for b in box if b is not None for x in (b[0], b[2])
+        if x is not None
+    })
+    rank = {x: 2 * i + 2 for i, x in enumerate(values)}
+    no_upper = 2 * len(values) + 2
+    # per tuple and column: lower key (0 when unbounded) and upper key
+    # (no_upper when unbounded); t's box is inside s's box iff every
+    # lower key of t is >= s's and every upper key is <= s's
+    lowers: List[List[int]] = []
+    uppers: List[List[int]] = []
+    for box in boxes:
+        lo_keys: List[int] = []
+        hi_keys: List[int] = []
+        for b in box:
+            if b is None:
+                lo_keys.append(0)
+                hi_keys.append(no_upper)
+                continue
+            lo, lo_strict, hi, hi_strict = b
+            lo_keys.append(0 if lo is None else rank[lo] + lo_strict)
+            hi_keys.append(no_upper if hi is None else rank[hi] - hi_strict)
+        lowers.append(lo_keys)
+        uppers.append(hi_keys)
+    relational: List[FrozenSet] = [
+        frozenset(
+            a for a in t.atoms
+            if not isinstance(a.left, Const) and not isinstance(a.right, Const)
+        )
+        for t in distinct
+    ]
+
+    def subsumes(si: int, ti: int) -> bool:
+        if not all(map(ge, lowers[ti], lowers[si])):
+            return False
+        if not all(map(le, uppers[ti], uppers[si])):
+            return False
+        rest = relational[si]
+        if not rest:
+            return True
+        t = distinct[ti]
+        if rest <= t.atoms:
+            return True
+        t_bounds = t.bounds()
+        if not all(a.left in t_bounds and a.right in t_bounds for a in rest):
+            return False
+        if _KERNEL.columnar:
+            # one closure per target tuple, shared across every
+            # candidate atom of every candidate subsumer (same
+            # laziness and cache traffic as t.entails; falls through
+            # when t's entailer is not matrix-backed)
+            mat = tuple_matrix(t)
+            if mat is not None:
+                return mat.implies_all(rest)
+        return all(t.entails(a) for a in rest)
+
+    pins: List[Optional[Fraction]] = []
+    buckets: Dict[Fraction, List[int]] = {}
+    unpinned: List[int] = []
+    for i, box in enumerate(boxes):
+        b = box[0] if box else None
+        pin = b[0] if b is not None and b[0] is not None and b[0] == b[2] else None
+        pins.append(pin)
+        if pin is None:
+            unpinned.append(i)
+        else:
+            buckets.setdefault(pin, []).append(i)
+
+    def candidates(i: int) -> Iterable[int]:
+        pin = pins[i]
+        if pin is None:
+            return unpinned
+        return chain(buckets[pin], unpinned)
+
+    return candidates, subsumes
 
 
 #: join uses the partition index only when both sides have at least this

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.core.atoms import Op, eq, le, lt, ne
+from repro.core.gtuple import GTuple
 from repro.core.ordergraph import OrderGraph
 from repro.core.terms import Const, Var
+from repro.core.theory import DENSE_ORDER
 from repro.errors import TheoryError
 from tests.strategies import conjunctions
 
@@ -143,6 +145,65 @@ class TestCanonicalAtoms:
     def test_bound_through_variable_dropped(self):
         g = OrderGraph([lt("x", "y"), lt("y", 5), lt("x", 5)])
         assert g.canonical_atoms() == frozenset({lt("x", "y"), lt("y", 5)})
+
+
+UNBOUNDED = (None, False, None, False)
+
+
+def _one_column_interval(atoms, var):
+    """``(lo, lo_strict, hi, hi_strict)`` of a one-variable canonical set."""
+    lo, lo_strict, hi, hi_strict = UNBOUNDED
+    for a in atoms:
+        if isinstance(a.right, Const):
+            assert a.left == var
+            hi, hi_strict = a.right.value, a.op is Op.LT
+            if a.op is Op.EQ:
+                lo = hi
+        else:
+            assert isinstance(a.left, Const) and a.right == var
+            lo, lo_strict = a.left.value, a.op is Op.LT
+            if a.op is Op.EQ:
+                hi = lo
+    return lo, lo_strict, hi, hi_strict
+
+
+class TestBounds:
+    def test_reads_tightest_constants_through_variables(self):
+        bounds = OrderGraph([lt("x", "y"), le("y", 3), lt(1, "x"), le(0, "x")]).bounds()
+        assert bounds[Var("x")] == (Fraction(1), True, Fraction(3), True)
+        assert bounds[Var("y")] == (Fraction(1), True, Fraction(3), False)
+
+    def test_pinned_variable(self):
+        bounds = OrderGraph([eq("x", 2), le("x", "y")]).bounds()
+        assert bounds[Var("x")] == (Fraction(2), False, Fraction(2), False)
+        assert bounds[Var("y")] == (Fraction(2), False, None, False)
+
+    def test_unconstrained_variable_reports_none(self):
+        bounds = OrderGraph([lt("x", "y")]).bounds()
+        assert bounds == {Var("x"): UNBOUNDED, Var("y"): UNBOUNDED}
+
+    @settings(max_examples=200, deadline=None)
+    @given(conjunctions(max_size=6))
+    def test_bounds_are_the_one_column_projection(self, atoms):
+        """Exactness: the bounds of every variable equal the interval
+        left after projecting out every other column, strictness
+        included."""
+        schema = ("x", "y", "z", "u", "v")
+        g = OrderGraph(atoms)
+        assume(g.is_satisfiable())
+        t = GTuple.make(DENSE_ORDER, schema, atoms)
+        bounds = g.bounds()
+        assert set(bounds) == {n for n in g.nodes if isinstance(n, Var)}
+        for col in schema:
+            var = Var(col)
+            projected = [t]
+            for other in schema:
+                if other != col:
+                    projected = [q for p in projected for q in p.project_out_all(other)]
+            assert len(projected) == 1
+            expected = _one_column_interval(projected[0].atoms, var)
+            assert bounds.get(var, UNBOUNDED) == expected
+            assert t.bounds().get(var, UNBOUNDED) == expected
 
 
 class TestSolve:
