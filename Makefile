@@ -1,6 +1,6 @@
 # Convenience targets (mirror the commands in README / CONTRIBUTING)
 
-.PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos e22 clean
+.PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos clean
 
 install:
 	python setup.py develop
@@ -38,7 +38,6 @@ ci:
 	pytest benchmarks/bench_e16_telemetry_overhead.py -s
 	pytest benchmarks/bench_e18_resilience.py -s --benchmark-disable
 	pytest benchmarks/bench_e21_analysis.py -s --benchmark-disable
-	pytest benchmarks/bench_e22_columnar.py -s --benchmark-disable
 
 # the cross-process chaos matrix: deterministic faults and worker
 # crashes injected inside pool workers; the oracle must still match
@@ -46,11 +45,6 @@ ci:
 chaos:
 	REPRO_CHAOS=1 python tests/parallel/oracle.py
 	REPRO_CHAOS=1 REPRO_DIFF_POOL=process python tests/parallel/oracle.py
-
-# the columnar-kernel gate: batch satisfiability >= 2x the object
-# kernel on 64+ blocks, end-to-end TC never slower, object path cheap
-e22:
-	pytest benchmarks/bench_e22_columnar.py -s --benchmark-disable
 
 # the observability walkthrough: profile a transitive-closure run and
 # export the JSON trace (TRACE_OUT overrides the export path)

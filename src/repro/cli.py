@@ -137,7 +137,7 @@ from repro.obs import (
     write_prometheus,
     write_trace,
 )
-from repro.perf import kernel_backend_context, kernel_cache_disabled, kernel_stats
+from repro.perf import kernel_cache_disabled, kernel_stats
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.guard import EvaluationGuard
 
@@ -268,23 +268,6 @@ def _cache_context(args: argparse.Namespace):
     """The kernel-cache escape hatch as a context manager."""
     if getattr(args, "no_cache", False):
         return kernel_cache_disabled()
-    return contextlib.nullcontext()
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=("object", "columnar"), default=None,
-        help="constraint-kernel backend: per-atom object graphs or the "
-        "columnar bounds-matrix kernel (default: the REPRO_KERNEL "
-        "environment variable, else object)",
-    )
-
-
-def _kernel_context(args: argparse.Namespace):
-    """The kernel-backend selection as a context manager."""
-    backend = getattr(args, "kernel", None)
-    if backend is not None:
-        return kernel_backend_context(backend)
     return contextlib.nullcontext()
 
 
@@ -570,7 +553,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     mode = _optimize_mode(args)
     planner = _planner_of(args, mode, ctx)
     try:
-        with _kernel_context(args), _cache_context(args), (
+        with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
         ):
             if planner is not None:
@@ -600,7 +583,7 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     mode = _optimize_mode(args)
     planner = _planner_of(args, mode, ctx)
     try:
-        with _kernel_context(args), _cache_context(args), (
+        with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
         ):
             result = evaluate_program(
@@ -645,7 +628,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     planner = _planner_of(args, mode, ctx)
     summary: str
     try:
-        with _kernel_context(args), _cache_context(args), tracer, (
+        with _cache_context(args), tracer, (
             ctx if ctx is not None and planner is None
             else contextlib.nullcontext()
         ):
@@ -683,7 +666,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     is_program = args.query.endswith(".dl") or os.path.exists(args.query)
     ctx = _context_of(args)
     try:
-        with _kernel_context(args), _cache_context(args), tracer, (
+        with _cache_context(args), tracer, (
             ctx if ctx is not None else contextlib.nullcontext()
         ):
             summary = _run_explain(args, db, guard, is_program)
@@ -945,7 +928,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_budget_flags(query)
     _add_obs_flags(query)
     _add_cache_flag(query)
-    _add_kernel_flag(query)
     _add_parallel_flags(query)
     _add_optimize_flags(query)
     _add_memory_flags(query)
@@ -968,7 +950,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_budget_flags(datalog)
     _add_obs_flags(datalog)
     _add_cache_flag(datalog)
-    _add_kernel_flag(datalog)
     _add_parallel_flags(datalog)
     _add_optimize_flags(datalog)
     _add_memory_flags(datalog)
@@ -999,7 +980,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_budget_flags(explain_cmd)
     _add_cache_flag(explain_cmd)
-    _add_kernel_flag(explain_cmd)
     _add_parallel_flags(explain_cmd)
     _add_optimize_flags(explain_cmd)
     _add_telemetry_flags(explain_cmd)
@@ -1038,7 +1018,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_budget_flags(profile_cmd)
     _add_cache_flag(profile_cmd)
-    _add_kernel_flag(profile_cmd)
     _add_parallel_flags(profile_cmd)
     _add_memory_flags(profile_cmd)
     profile_cmd.set_defaults(fn=_cmd_profile)

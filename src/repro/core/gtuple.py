@@ -24,28 +24,18 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.core.ordergraph import Bounds, OrderGraph
 from repro.core.terms import Term, Var
-from repro.core.theory import ConstraintTheory, DenseOrderTheory
+from repro.core.theory import ConstraintTheory
 from repro.errors import SchemaError, TheoryError
-from repro.perf.columnar import kernel_selector, pack_gtuple, unpack_gtuple
 from repro.perf.interning import intern_pool
 
 __all__ = ["GTuple", "Schema", "check_schema"]
 
 Schema = Tuple[str, ...]
 
-_KERNEL = kernel_selector()
-
 
 def _restore_gtuple(theory: ConstraintTheory, schema: Schema, atoms: FrozenSet) -> "GTuple":
     """Unpickle through the interning constructor (see GTuple.__reduce__)."""
     return GTuple._canonical(theory, schema, atoms)
-
-
-def _restore_packed_gtuple(
-    theory: ConstraintTheory, schema: Schema, slots: tuple, matrix: bytes
-) -> "GTuple":
-    """Unpickle a columnar shard payload: slots + flat edge matrix."""
-    return GTuple._canonical(theory, schema, unpack_gtuple(schema, slots, matrix))
 
 
 def check_schema(schema: Sequence[str]) -> Schema:
@@ -188,21 +178,7 @@ class GTuple:
         # so both are rebuilt on the receiving side -- and routing
         # through _canonical re-interns the tuple into that process's
         # pool, keeping the identity fast paths effective for shard
-        # payloads crossing a process boundary.  Under the columnar
-        # kernel a dense-order tuple ships as schema slots plus a flat
-        # edge-matrix byte string instead of a graph of atom/term
-        # objects; canonical atom sets carry at most one atom per term
-        # pair, so the packed form decodes to the identical frozenset
-        # (pack_gtuple returns None for the rare unpackable set, which
-        # falls back to the object payload).
-        if _KERNEL.columnar and isinstance(self.theory, DenseOrderTheory):
-            packed = pack_gtuple(self.schema, self.atoms)
-            if packed is not None:
-                slots, matrix = packed
-                return (
-                    _restore_packed_gtuple,
-                    (self.theory, self.schema, slots, matrix),
-                )
+        # payloads crossing a process boundary.
         return (_restore_gtuple, (self.theory, self.schema, self.atoms))
 
     def __repr__(self) -> str:
@@ -328,8 +304,8 @@ class GTuple:
 
         See :meth:`OrderGraph.bounds`; a schema column absent from the
         map is unconstrained.  Computed once per tuple (interned tuples
-        share it) from the object graph under either kernel backend, so
-        it adds no kernel-cache traffic.
+        share it) straight from an :class:`OrderGraph`, bypassing the
+        kernel cache, so it adds no kernel-cache traffic.
         """
         if self._bounds is None:
             self._bounds = OrderGraph(self.atoms).bounds()

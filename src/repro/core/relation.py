@@ -32,14 +32,10 @@ from repro.errors import SchemaError, TheoryError
 from repro.obs.trace import active_tracer
 from repro.parallel.context import active_execution_context
 from repro.perf.cache import kernel_counters
-from repro.perf.columnar import kernel_selector, merge_block, tuple_matrix
 from repro.runtime.faults import fault_point
 from repro.runtime.guard import active_guard
 
 __all__ = ["Relation"]
-
-#: the kernel-backend switch (one attribute read on the hot paths)
-_KERNEL = kernel_selector()
 
 
 class Relation:
@@ -431,7 +427,6 @@ class Relation:
                 self.tuples, wide_b, combined, partition, ctx, guard
             )
         else:
-            blocked = _KERNEL.columnar and isinstance(self.theory, DenseOrderTheory)
             for ai, a in enumerate(self.tuples):
                 if guard is not None:
                     guard.tick("relation.join")
@@ -446,15 +441,6 @@ class Relation:
                     else:
                         # preserve the nested loop's right-side order
                         matches = sorted(buckets.get(pin, ()) + unpinned)
-                if blocked:
-                    # columnar: one blocked merge per left tuple (same
-                    # pairs, same order, same cache traffic as the
-                    # per-pair loop below)
-                    considered += len(matches)
-                    out.extend(
-                        merge_block(self.theory, wide_a, wide_b, matches, combined)
-                    )
-                    continue
                 for bi in matches:
                     considered += 1
                     merged = wide_a.merge(wide_b[bi], combined)
@@ -755,14 +741,6 @@ def _dense_subsumption(distinct: List[GTuple]):
         t_bounds = t.bounds()
         if not all(a.left in t_bounds and a.right in t_bounds for a in rest):
             return False
-        if _KERNEL.columnar:
-            # one closure per target tuple, shared across every
-            # candidate atom of every candidate subsumer (same
-            # laziness and cache traffic as t.entails; falls through
-            # when t's entailer is not matrix-backed)
-            mat = tuple_matrix(t)
-            if mat is not None:
-                return mat.implies_all(rest)
         return all(t.entails(a) for a in rest)
 
     pins: List[Optional[Fraction]] = []

@@ -28,26 +28,8 @@ from repro.core.ordergraph import OrderGraph
 from repro.core.terms import Const, Term, Var
 from repro.errors import TheoryError
 from repro.perf.cache import KernelEntry, kernel_cache
-from repro.perf.columnar import BoundsMatrix, kernel_selector
 
 __all__ = ["ConstraintTheory", "DenseOrderTheory", "DENSE_ORDER"]
-
-#: the process-wide kernel-backend switch (never replaced, only mutated)
-_SELECTOR = kernel_selector()
-
-
-def _kernel(conjunction: Iterable[Atom]):
-    """The dense-order kernel for one conjunction under the active backend.
-
-    One attribute read decides between the per-atom object graph and the
-    columnar bounds matrix; the two answer every query identically, so
-    the choice is purely a performance knob (``REPRO_KERNEL`` /
-    ``--kernel``).
-    """
-    if _SELECTOR.columnar:
-        return BoundsMatrix(conjunction)
-    return OrderGraph(conjunction)
-
 
 class ConstraintTheory(ABC):
     """Operations a constraint theory must support.
@@ -182,16 +164,13 @@ class DenseOrderTheory(ConstraintTheory):
 
     # ------------------------------------------------------------ kernel memo
     #
-    # Every query below bottoms out in a kernel (OrderGraph or, under
-    # REPRO_KERNEL=columnar, a BoundsMatrix) over the same conjunction;
-    # the process-wide KernelCache memoizes that kernel (and the
-    # canonical form derived from it) keyed by frozenset(atoms).
-    # Atoms are immutable value objects and the kernel is only queried,
-    # never extended, so entries never go stale -- and because both
-    # backends answer identically, an entry built under one backend
-    # stays valid after a runtime switch.  The disabled path
+    # Every query below bottoms out in an OrderGraph over the same
+    # conjunction; the process-wide KernelCache memoizes that graph (and
+    # the canonical form derived from it) keyed by frozenset(atoms).
+    # Atoms are immutable value objects and the graph is only queried,
+    # never extended, so entries never go stale.  The disabled path
     # (``--no-cache``) is a single attribute read before falling through
-    # to the direct kernel.
+    # to a fresh OrderGraph.
 
     def _entry(self, conjunction: Iterable[Atom]) -> KernelEntry:
         cache = kernel_cache()
@@ -202,7 +181,7 @@ class DenseOrderTheory(ConstraintTheory):
         )
         entry = cache.lookup(key)
         if entry is None:
-            entry = KernelEntry(_kernel(key))
+            entry = KernelEntry(OrderGraph(key))
             cache.store(key, entry)
         return entry
 
@@ -234,7 +213,7 @@ class DenseOrderTheory(ConstraintTheory):
 
     def is_satisfiable(self, conjunction: Iterable[Atom]) -> bool:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).is_satisfiable()
+            return OrderGraph(conjunction).is_satisfiable()
         return self._entry(conjunction).graph.is_satisfiable()
 
     def project_out(self, conjunction: Sequence[Atom], var: Var) -> List[List[Atom]]:
@@ -296,7 +275,7 @@ class DenseOrderTheory(ConstraintTheory):
 
     def canonicalize(self, conjunction: Iterable[Atom]) -> FrozenSet[Atom]:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).canonical_atoms()
+            return OrderGraph(conjunction).canonical_atoms()
         # canonical_atoms (not KernelEntry.canonical) so an unsatisfiable
         # input raises TheoryError exactly as the uncached kernel does
         return self._entry(conjunction).graph.canonical_atoms()
@@ -306,27 +285,27 @@ class DenseOrderTheory(ConstraintTheory):
 
     def entails(self, conjunction: Iterable[Atom], a: Atom) -> bool:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).implies(a)
+            return OrderGraph(conjunction).implies(a)
         return self._entry(conjunction).graph.implies(a)
 
     def solve(self, conjunction: Iterable[Atom]) -> Optional[Dict[Var, Fraction]]:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).solve()
+            return OrderGraph(conjunction).solve()
         return self._entry(conjunction).graph.solve()
 
     def make_entailer(self, conjunction: Iterable[Atom]):
         if not kernel_cache().enabled:
-            return _kernel(conjunction).implies
+            return OrderGraph(conjunction).implies
         return self._entry(conjunction).graph.implies
 
     def canonicalize_if_satisfiable(
         self, conjunction: Iterable[Atom]
     ) -> Optional[FrozenSet[Atom]]:
         if not kernel_cache().enabled:
-            kernel = _kernel(conjunction)
-            if not kernel.is_satisfiable():
+            graph = OrderGraph(conjunction)
+            if not graph.is_satisfiable():
                 return None
-            return kernel.canonical_atoms()
+            return graph.canonical_atoms()
         return self._entry(conjunction).canonical()
 
     def equality_atom(self, left: Term, right: Term) -> Union[Atom, bool]:

@@ -51,6 +51,10 @@ class TestSatisfiability:
         g = OrderGraph([lt(0, "x"), lt("x", 1), eq("x", Fraction(1, 2))])
         assert g.is_satisfiable()
 
+    def test_ne_atom_rejected(self):
+        with pytest.raises(TheoryError):
+            OrderGraph([ne("x", "y")])
+
 
 class TestImplication:
     def test_transitive_strict(self):
@@ -76,6 +80,13 @@ class TestImplication:
     def test_constant_gap(self):
         g = OrderGraph([le("x", 1), le(2, "y")])
         assert g.implies(lt("x", "y"))
+
+    def test_fresh_constant_reasoning(self):
+        # {x = -1} entails x <= 0 although 0 is not a node of the graph
+        g = OrderGraph([eq("x", -1)])
+        assert g.implies(le("x", 0))
+        assert not g.implies(le(0, "x"))
+        assert g.implies(lt("x", 5))
 
     def test_unsat_implies_everything(self):
         g = OrderGraph([lt("x", "x") if False else lt("x", "y"), lt("y", "x")])

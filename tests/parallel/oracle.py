@@ -31,16 +31,6 @@ equivalence and guard parity.  The resilience layer must absorb every
 injected failure without changing a single answer or a single guard
 counter; ``REPRO_CHAOS_SEED`` varies the (still deterministic)
 schedule.
-
-Kernel-backend axis: every corpus entry also runs object-vs-columnar
-(``repro.perf.columnar``) × serial-vs-parallel.  Within each backend
-the serial-vs-parallel contract above applies; across backends the
-oracle demands more than equivalence — the *rendered* results
-(``pretty()``, i.e. the canonical forms and their order) must be
-byte-identical, and the guard totals must match exactly, because the
-columnar kernel claims to be a pure performance substitution.  Each
-backend leg starts from a fresh kernel cache/intern pool so no entry
-built under the other backend leaks in.
 """
 
 from __future__ import annotations
@@ -55,7 +45,6 @@ from repro.core.relation import Relation
 from repro.datalog.engine import evaluate_program
 from repro.encoding.cells import relations_equivalent
 from repro.parallel import ExecutionContext
-from repro.perf import kernel_backend_context, reset_kernel_cache
 from repro.runtime.faults import FaultRegistry, TransientEvaluationError
 from repro.runtime.guard import EvaluationGuard
 
@@ -64,19 +53,15 @@ __all__ = [
     "guard_totals",
     "check_fo",
     "check_datalog",
-    "check_fo_kernels",
-    "check_datalog_kernels",
     "chaos_registry",
     "CHAOS",
     "WORKER_COUNTS",
     "STRATEGIES",
-    "KERNELS",
 ]
 
 #: the differential matrix of the acceptance criteria
 WORKER_COUNTS = (1, 2, 4)
 STRATEGIES = ("hash", "cell")
-KERNELS = ("object", "columnar")
 
 #: chaos mode: inject worker failures around every parallel run
 CHAOS = os.environ.get("REPRO_CHAOS") == "1"
@@ -189,95 +174,6 @@ def check_datalog(program, database: Database, ctx=None, engine=evaluate_program
     assert guard_totals(serial_guard) == guard_totals(parallel_guard)
 
 
-# ---------------------------------------------------------- kernel-backend axis
-
-
-@contextlib.contextmanager
-def _kernel_leg(backend: str):
-    """One kernel-backend leg with a fresh cache and intern pool.
-
-    The reset matters for exactness: a tuple interned under the other
-    backend keeps its already-built entailer, which would make the two
-    legs' cache traffic (and lazily-shared kernels) diverge in ways
-    that have nothing to do with the backend under test."""
-    reset_kernel_cache()
-    with kernel_backend_context(backend):
-        yield
-
-
-def check_fo_kernels(formula, database: Optional[Database] = None, ctx=None) -> None:
-    """Serial-vs-parallel within each kernel backend, byte-identical
-    renderings and exact guard totals across backends."""
-    legs = {}
-    for backend in KERNELS:
-        with _kernel_leg(backend):
-            serial_guard = EvaluationGuard()
-            serial = evaluate(formula, database, guard=serial_guard)
-            parallel_guard = EvaluationGuard()
-            with _chaos():
-                parallel = evaluate(formula, database, guard=parallel_guard, context=ctx)
-            assert serial.schema == parallel.schema
-            assert relations_equivalent(serial, parallel), (
-                f"[{backend}] parallel FO result diverged from serial for {formula}:\n"
-                f"serial:\n{serial.pretty()}\nparallel:\n{parallel.pretty()}"
-            )
-            assert guard_totals(serial_guard) == guard_totals(parallel_guard), (
-                f"[{backend}] guard accounting diverged for {formula}"
-            )
-            legs[backend] = (serial.pretty(), parallel.pretty(),
-                             guard_totals(serial_guard))
-    ref_serial, ref_parallel, ref_guard = legs["object"]
-    for backend in KERNELS[1:]:
-        got_serial, got_parallel, got_guard = legs[backend]
-        assert got_serial == ref_serial, (
-            f"{backend} serial rendering diverged from object for {formula}:\n"
-            f"object:\n{ref_serial}\n{backend}:\n{got_serial}"
-        )
-        assert got_parallel == ref_parallel, (
-            f"{backend} parallel rendering diverged from object for {formula}"
-        )
-        assert got_guard == ref_guard, (
-            f"{backend} guard totals diverged from object for {formula}: "
-            f"{got_guard} != {ref_guard}"
-        )
-
-
-def check_datalog_kernels(
-    program, database: Database, ctx=None, engine=evaluate_program
-) -> None:
-    """The Datalog face of :func:`check_fo_kernels`."""
-    legs = {}
-    for backend in KERNELS:
-        with _kernel_leg(backend):
-            serial_guard = EvaluationGuard()
-            serial = engine(program, database, guard=serial_guard)
-            parallel_guard = EvaluationGuard()
-            with _chaos():
-                parallel = engine(program, database, guard=parallel_guard, context=ctx)
-            assert serial.rounds == parallel.rounds
-            assert serial.reached_fixpoint == parallel.reached_fixpoint
-            for name in program.idb:
-                assert relations_equivalent(serial[name], parallel[name]), (
-                    f"[{backend}] parallel IDB {name!r} diverged from serial"
-                )
-            assert guard_totals(serial_guard) == guard_totals(parallel_guard)
-            legs[backend] = (
-                serial.rounds,
-                {name: serial[name].pretty() for name in program.idb},
-                {name: parallel[name].pretty() for name in program.idb},
-                guard_totals(serial_guard),
-            )
-    ref = legs["object"]
-    for backend in KERNELS[1:]:
-        got = legs[backend]
-        assert got[0] == ref[0], f"{backend} round count diverged"
-        assert got[1] == ref[1], f"{backend} serial IDB renderings diverged from object"
-        assert got[2] == ref[2], f"{backend} parallel IDB renderings diverged from object"
-        assert got[3] == ref[3], (
-            f"{backend} guard totals diverged from object: {got[3]} != {ref[3]}"
-        )
-
-
 # --------------------------------------------------------------- canned corpus
 
 
@@ -290,13 +186,13 @@ def _corpus():
     db = Database({"E": Relation.from_points(("x", "y"), edges)})
 
     cases = [
-        ("two-hop join", lambda ctx: check_fo_kernels(
+        ("two-hop join", lambda ctx: check_fo(
             parse_formula("exists y (E(x, y) and E(y, z))"), db, ctx)),
-        ("join + negation", lambda ctx: check_fo_kernels(
+        ("join + negation", lambda ctx: check_fo(
             parse_formula("E(x, y) and not (x < 3)"), db, ctx)),
-        ("quantifier elimination", lambda ctx: check_fo_kernels(
+        ("quantifier elimination", lambda ctx: check_fo(
             parse_formula("exists y (E(x, y) and y < 6)"), db, ctx)),
-        ("transitive closure", lambda ctx: check_datalog_kernels(
+        ("transitive closure", lambda ctx: check_datalog(
             transitive_closure_program(), db, ctx)),
         # regression: _complement charges the guard per input tuple and
         # early-exits, so its accounting used to depend on tuple order —
@@ -304,7 +200,7 @@ def _corpus():
         # sees a merged (reordered) relation and diverged by one
         # tuples_materialized at workers=4 before _complement pinned a
         # canonical iteration order.
-        ("order-sensitive complement accounting", lambda ctx: check_fo_kernels(
+        ("order-sensitive complement accounting", lambda ctx: check_fo(
             parse_formula("forall x (0 < v and 1 < y and x < 0)"), None, ctx)),
     ]
     return cases
@@ -325,8 +221,7 @@ def main() -> int:
                 ctx.close()
     mode = "chaos" if CHAOS else "clean"
     print(f"oracle[{mode}]: {ran} workload runs agreed with the serial "
-          f"reference (strategies={STRATEGIES}, workers={WORKER_COUNTS}, "
-          f"kernels={KERNELS})")
+          f"reference (strategies={STRATEGIES}, workers={WORKER_COUNTS})")
     if CHAOS:
         # the schedule must have actually hurt something: a chaos run
         # with zero recoveries means the harness never fired
